@@ -13,7 +13,7 @@
 //                           BENCH_scale.pre.json (the pre/post baseline)
 //   --gate                  CI smoke: 10k + 100k post and 100k pre
 //                           in-process; exits nonzero when the
-//                           bytes/object or p99 gates fail
+//                           bytes/object, p99 or fetch gates fail
 //   --json=PATH             overrides the output path
 #include <algorithm>
 #include <chrono>
@@ -178,6 +178,8 @@ TierResult run_tier(const hxrc::workload::ScaleTier& tier, bool baseline) {
     std::sort(fl.begin(), fl.end());
     r.fetch_p50_micros = percentile(fl, 0.50);
     r.fetch_p99_micros = percentile(fl, 0.99);
+    std::fprintf(stderr, "[scale]   %zu fetches, p50 %.1fus p99 %.1fus\n", fl.size(),
+                 r.fetch_p50_micros, r.fetch_p99_micros);
   }
 
   pager.reset();
@@ -217,9 +219,10 @@ void write_json(const std::string& path, const std::vector<TierResult>& results)
 
 /// CI smoke gates at the 100k tier (the 1M acceptance gates live in
 /// EXPERIMENTS.md E14 and run locally): compressed bytes/object must stay
-/// under 70% of the uncompressed baseline, and the 100k p99 must stay
+/// under 70% of the uncompressed baseline, the 100k p99 must stay
 /// within 1.25x of the 10k p99 (with a 64us floor so a fast machine's
-/// timer noise can't fail the ratio).
+/// timer noise can't fail the ratio), and the paged 100k fetch p50 must
+/// stay within 2x of the unpaged one from the same run.
 int run_gate() {
   using hxrc::workload::scale_tier;
   const TierResult small = run_tier(scale_tier("10k"), false);
@@ -239,6 +242,14 @@ int run_gate() {
                post.query_p99_micros, small.query_p99_micros, 1.25 * p99_floor);
   if (post.query_p99_micros > 1.25 * p99_floor) {
     std::fprintf(stderr, "[gate] FAIL: indexed query latency not scale-invariant\n");
+    ok = false;
+  }
+  const double fetch_ratio = post.fetch_p50_micros / pre.fetch_p50_micros;
+  std::fprintf(stderr,
+               "[gate] fetch p50: 100k paged %.1fus vs unpaged %.1fus (ratio %.2f, limit 2.00)\n",
+               post.fetch_p50_micros, pre.fetch_p50_micros, fetch_ratio);
+  if (fetch_ratio > 2.0) {
+    std::fprintf(stderr, "[gate] FAIL: paged fetch too slow against unpaged\n");
     ok = false;
   }
   std::fprintf(stderr, "[gate] %s\n", ok ? "PASS" : "FAIL");

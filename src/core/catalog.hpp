@@ -22,7 +22,7 @@
 // collection reads) pin an epoch in a reclamation slot, load the snapshot,
 // and run entirely against that epoch's watermarks — they NEVER take the
 // commit lock and never block behind a commit (only short leaf locks: the
-// registry's name maps, cache shards, the CLOB segment LRU). Superseded
+// registry's name maps, cache shards, the CLOB block LRU). Superseded
 // snapshots and index generations are reclaimed once no reader pins their
 // epoch (util::EpochManager). Continuation cursors carry the epoch they
 // were issued at and go stale on any mutation. The accessors that hand out

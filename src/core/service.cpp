@@ -476,6 +476,17 @@ std::string CatalogService::handle_parsed(const xml::Node& request,
                  std::to_string(util::IngestMetrics::per_second(rows, micros)) + "\"";
       payload += "/>";
     }
+    {
+      // Live gauges (not pinned to the snapshot): CLOB payload on-heap and
+      // in the page file, and the spilled-block read cache.
+      const rel::ClobStore& clobs = catalog_.database().clobs();
+      payload += "<paging resident_bytes=\"" + std::to_string(clobs.resident_bytes()) + "\"";
+      payload += " spilled_bytes=\"" + std::to_string(clobs.spilled_bytes()) + "\"";
+      payload += " cache_bytes=\"" + std::to_string(clobs.cache_bytes()) + "\"";
+      payload += " cache_hits=\"" + std::to_string(clobs.cache_hits()) + "\"";
+      payload += " cache_misses=\"" + std::to_string(clobs.cache_misses()) + "\"";
+      payload += "/>";
+    }
     if (const util::DurabilityMetrics* wal = catalog_.durability_metrics()) {
       payload += "<durability";
       payload += " wal_records=\"" +

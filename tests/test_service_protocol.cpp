@@ -9,6 +9,8 @@
 
 #include "core/dispatcher.hpp"
 #include "core/service.hpp"
+#include "fed/merge.hpp"
+#include "storage/clob_pager.hpp"
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
 #include "xml/parser.hpp"
@@ -562,6 +564,52 @@ TEST_F(ProtocolTest, StatsReportDurabilityCountersWhenAttached) {
   EXPECT_EQ(*durability->attribute("torn_tail_truncations"), "1");
   EXPECT_EQ(*durability->attribute("recovery_ms"), "7");
   catalog_.set_durability_metrics(nullptr);
+}
+
+TEST(ProtocolPaging, StatsReportPagingGauges) {
+  xml::Schema schema = workload::lead_schema();
+  MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
+  storage::PagedClobFile pager(std::string(::testing::TempDir()) + "protocol_paging.pages");
+  catalog.database().clobs().enable_paging(&pager, /*segment_bytes=*/1024,
+                                           /*cache_segments=*/4);
+  CatalogService service(catalog);
+  for (int i = 0; i < 3; ++i) {
+    service.handle("<catalogRequest type=\"ingest\" user=\"u\">" + workload::fig3_document() +
+                   "</catalogRequest>");
+  }
+  catalog.database().clobs().flush();
+  service.handle("<catalogRequest type=\"fetch\" objectID=\"1\"/>");
+
+  const std::string response = service.handle("<catalogRequest type=\"stats\"/>");
+  const xml::Document parsed = xml::parse(response);
+  const xml::Node* stats = parsed.root->first_child("stats");
+  ASSERT_NE(stats, nullptr);
+  const xml::Node* paging = stats->first_child("paging");
+  ASSERT_NE(paging, nullptr);
+  const auto gauge = [&](const char* name) {
+    return std::stoull(std::string(*paging->attribute(name)));
+  };
+  const rel::ClobStore& clobs = catalog.database().clobs();
+  EXPECT_EQ(gauge("resident_bytes"), 0u);
+  EXPECT_EQ(gauge("spilled_bytes"), clobs.payload_bytes());
+  EXPECT_GT(gauge("spilled_bytes"), 0u);
+  EXPECT_GT(gauge("cache_bytes"), 0u);
+  EXPECT_LE(gauge("cache_bytes"), 4u * 1024u);
+  EXPECT_GT(gauge("cache_misses"), 0u);
+  EXPECT_EQ(gauge("cache_hits") + gauge("cache_misses"),
+            clobs.cache_hits() + clobs.cache_misses());
+
+  // The federated merge reads root attributes only: the child changes
+  // nothing in the merged payload.
+  const std::size_t begin = response.find("<stats");
+  const std::size_t end = response.find("</stats>") + 8;
+  const std::string payload = response.substr(begin, end - begin);
+  std::string without = payload;
+  const std::size_t child = without.find("<paging");
+  without.erase(child, without.find("/>", child) + 2 - child);
+  ASSERT_EQ(without.find("<paging"), std::string::npos);
+  EXPECT_EQ(fed::merge_stats_payload({{0, false, payload}}),
+            fed::merge_stats_payload({{0, false, without}}));
 }
 
 }  // namespace
