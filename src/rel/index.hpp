@@ -20,6 +20,13 @@
 // while the older neighbour holds at most twice the rows), which bounds the
 // list at O(log n) generations for amortised O(log n) work per row.
 //
+// Both kinds share that machinery (GenerationIndex, written once) and the
+// one posting form of rel/postings.hpp. A kind supplies only one
+// generation's key -> postings structure: a hash map (HashPostings) or a
+// key-sorted entry vector (SortedPostings), each with find, build-from-rows
+// and merge-two. GenerationIndex is a template over that structure, so a
+// probe's per-generation find is a direct call.
+//
 // Superseded generation lists (and merged-away generations) are handed to
 // an optional util::EpochManager: a concurrent reader that pinned an epoch
 // before the merge keeps probing the old list safely until it unpins. With
@@ -213,10 +220,20 @@ class Index {
   util::EpochManager* reclaimer_ = nullptr;
 };
 
-class HashIndex final : public Index {
+/// The generation machinery both physical kinds share: the published
+/// generation list, its atomic publish with epoch disposal, the size-tiered
+/// merge loop and the watermark probes. `Map` is one generation's key ->
+/// PostingList structure and supplies only
+///   static Map build(const Index&, const StableVector<Row>&, RowId from, RowId to);
+///   static Map merge(const Map& older, const Map& newer);  // older ids first
+///   const PostingList* find(const Key&) const;
+///   void for_each(F f) const;                               // f(const PostingList&)
+/// so every probe calls the map directly (no per-posting virtual call).
+template <typename Map>
+class GenerationIndex : public Index {
  public:
   using Index::Index;
-  ~HashIndex() override {
+  ~GenerationIndex() override {
     const GenList* list = published_.load(std::memory_order_relaxed);
     if (list != nullptr) {
       for (const Gen* gen : list->gens) delete gen;
@@ -224,85 +241,87 @@ class HashIndex final : public Index {
     }
   }
 
-  std::unique_ptr<Index> make_empty() const override {
-    return std::make_unique<HashIndex>(name(), key_columns());
-  }
-
   void lookup_into_at(const Key& key, std::size_t limit,
-                      std::vector<RowId>& out) const override {
-    const GenList* list = published_.load(std::memory_order_acquire);
+                      std::vector<RowId>& out) const final {
+    const GenList* list = published();
     std::size_t covered = 0;
     if (list != nullptr) {
       covered = list->end;
       for (const Gen* gen : list->gens) {
         if (gen->begin >= limit) break;
-        const auto it = gen->map.find(key);
-        if (it == gen->map.end()) continue;
+        const PostingList* postings = gen->map.find(key);
+        if (postings == nullptr) continue;
         if (gen->end <= limit) {
-          it->second.append_to(out);
+          postings->append_to(out);
         } else {
-          it->second.append_below(limit, out);
+          postings->append_below(limit, out);
         }
       }
     }
     if (covered < limit) scan_tail(key, covered, limit, out);
   }
 
-  std::size_t bucket_size_at(const Key& key, std::size_t limit) const override {
-    const GenList* list = published_.load(std::memory_order_acquire);
+  std::size_t bucket_size_at(const Key& key, std::size_t limit) const final {
+    const GenList* list = published();
     std::size_t covered = 0;
     std::size_t n = 0;
     if (list != nullptr) {
       covered = list->end;
       for (const Gen* gen : list->gens) {
         if (gen->begin >= limit) break;
-        const auto it = gen->map.find(key);
-        if (it == gen->map.end()) continue;
-        n += gen->end <= limit ? it->second.size() : it->second.count_below(limit);
+        const PostingList* postings = gen->map.find(key);
+        if (postings == nullptr) continue;
+        n += gen->end <= limit ? postings->size() : postings->count_below(limit);
       }
     }
     if (covered < limit) n += count_tail(key, covered, limit);
     return n;
   }
 
-  IndexStats stats() const noexcept override {
+  IndexStats stats() const noexcept final {
     IndexStats st;
-    const GenList* list = published_.load(std::memory_order_acquire);
+    const GenList* list = published();
     if (list == nullptr) return st;
     for (const Gen* gen : list->gens) {
-      st.keys += gen->map.size();
-      for (const auto& [key, postings] : gen->map) {
+      gen->map.for_each([&st](const PostingList& postings) {
+        ++st.keys;
         st.postings += postings.size();
         st.postings_bytes += postings.heap_bytes();
         st.postings_raw_bytes += postings.raw_bytes();
-      }
+      });
     }
     return st;
   }
 
  protected:
-  std::size_t synced_rows() const noexcept override {
-    const GenList* list = published_.load(std::memory_order_acquire);
+  struct Gen {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    Map map;
+    std::size_t row_span() const noexcept { return end - begin; }
+  };
+  struct GenList {
+    std::vector<const Gen*> gens;  // oldest first; row ranges contiguous
+    std::size_t end = 0;
+  };
+
+  const GenList* published() const noexcept {
+    return published_.load(std::memory_order_acquire);
+  }
+
+  std::size_t synced_rows() const noexcept final {
+    const GenList* list = published();
     return list == nullptr ? 0 : list->end;
   }
 
-  void rebuild_to(std::size_t target) override {
+  void rebuild_to(std::size_t target) final {
     const GenList* current = published_.load(std::memory_order_relaxed);
     const std::size_t from = current == nullptr ? 0 : current->end;
     if (from >= target) return;
 
-    auto* fresh = new Gen;
-    fresh->begin = from;
-    fresh->end = target;
-    for (std::size_t r = from; r < target; ++r) {
-      postings_for(fresh->map, (*rows_)[r]).push_back(r);
-    }
-    // The generation is immutable once published; drop building slack.
-    for (auto& [key, ids] : fresh->map) ids.shrink();
-
     auto* next = new GenList;
     if (current != nullptr) next->gens = current->gens;
-    next->gens.push_back(fresh);
+    next->gens.push_back(new Gen{from, target, Map::build(*this, *rows_, from, target)});
     next->end = target;
 
     // Size-tiered merge from the newest end: keeps O(log n) generations.
@@ -310,15 +329,7 @@ class HashIndex final : public Index {
       const Gen* older = next->gens[next->gens.size() - 2];
       const Gen* newer = next->gens.back();
       if (older->row_span() > 2 * newer->row_span()) break;
-      auto* merged = new Gen;
-      merged->begin = older->begin;
-      merged->end = newer->end;
-      merged->map = older->map;
-      for (const auto& [key, ids] : newer->map) {
-        PostingList& list = merged->map[key];
-        list.append_all(ids);
-        list.shrink();
-      }
+      const Gen* merged = new Gen{older->begin, newer->end, Map::merge(older->map, newer->map)};
       dispose(older);
       dispose(newer);
       next->gens.pop_back();
@@ -330,44 +341,129 @@ class HashIndex final : public Index {
   }
 
  private:
-  struct Gen {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::unordered_map<Key, PostingList, KeyHash> map;
-    std::size_t row_span() const noexcept { return end - begin; }
-  };
-  struct GenList {
-    std::vector<const Gen*> gens;
-    std::size_t end = 0;
-  };
-
-  PostingList& postings_for(std::unordered_map<Key, PostingList, KeyHash>& map,
-                            const Row& row) {
-    // Probe with a reused scratch key: on the hit path (almost every insert
-    // of a catch-up pass) nothing is allocated. Only a first-seen key pays
-    // the copy-into-the-map cost. Inserts run under sync_mutex_, so the
-    // mutable scratch is safe.
-    scratch_.parts.clear();
-    for (const std::size_t c : key_columns()) scratch_.parts.push_back(row[c]);
-    const auto it = map.find(scratch_);
-    if (it != map.end()) return it->second;
-    return map.emplace(std::move(scratch_), PostingList{}).first->second;
-  }
-
   std::atomic<const GenList*> published_{nullptr};
-  Key scratch_;
 };
 
-class OrderedIndex final : public Index {
- public:
-  using Index::Index;
-  ~OrderedIndex() override {
-    const GenList* list = published_.load(std::memory_order_relaxed);
-    if (list != nullptr) {
-      for (const Gen* gen : list->gens) delete gen;
-      delete list;
+/// A hash generation: one unordered map from key to postings.
+struct HashPostings {
+  std::unordered_map<Key, PostingList, KeyHash> map;
+
+  static HashPostings build(const Index& index, const StableVector<Row>& rows,
+                            RowId from, RowId to) {
+    HashPostings gen;
+    // Probe with a reused scratch key: on the hit path (almost every insert
+    // of a catch-up pass) nothing is allocated. Only a first-seen key pays
+    // the copy-into-the-map cost.
+    Key scratch;
+    for (RowId r = from; r < to; ++r) {
+      scratch.parts.clear();
+      for (const std::size_t c : index.key_columns()) scratch.parts.push_back(rows[r][c]);
+      const auto it = gen.map.find(scratch);
+      if (it != gen.map.end()) {
+        it->second.push_back(r);
+      } else {
+        gen.map.emplace(std::move(scratch), PostingList{}).first->second.push_back(r);
+      }
     }
+    // The generation is immutable once published; drop building slack.
+    for (auto& [key, ids] : gen.map) ids.shrink();
+    return gen;
   }
+
+  static HashPostings merge(const HashPostings& older, const HashPostings& newer) {
+    HashPostings out = older;
+    for (const auto& [key, ids] : newer.map) {
+      PostingList& list = out.map[key];
+      list.append_all(ids);
+      list.shrink();
+    }
+    return out;
+  }
+
+  const PostingList* find(const Key& key) const {
+    const auto it = map.find(key);
+    return it == map.end() ? nullptr : &it->second;
+  }
+
+  template <typename F>
+  void for_each(F f) const {
+    for (const auto& entry : map) f(entry.second);
+  }
+};
+
+/// An ordered generation: (key, postings) entries sorted by key.
+struct SortedPostings {
+  using Entry = std::pair<Key, PostingList>;
+  std::vector<Entry> entries;
+
+  static SortedPostings build(const Index& index, const StableVector<Row>& rows,
+                              RowId from, RowId to) {
+    std::map<Key, PostingList> building;
+    for (RowId r = from; r < to; ++r) building[index.extract_key(rows[r])].push_back(r);
+    SortedPostings gen;
+    gen.entries.reserve(building.size());
+    for (auto& [key, ids] : building) {
+      ids.shrink();  // immutable once published; drop building slack
+      gen.entries.emplace_back(key, std::move(ids));
+    }
+    return gen;
+  }
+
+  /// Key-merge of two sorted entry lists; `older`'s ids precede `newer`'s
+  /// under a shared key (it covers older rows, so ids stay ascending).
+  static SortedPostings merge(const SortedPostings& older, const SortedPostings& newer) {
+    const std::vector<Entry>& a = older.entries;
+    const std::vector<Entry>& b = newer.entries;
+    SortedPostings out;
+    out.entries.reserve(a.size() + b.size());
+    std::size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+      if (a[i].first < b[j].first) {
+        out.entries.push_back(a[i++]);
+      } else if (b[j].first < a[i].first) {
+        out.entries.push_back(b[j++]);
+      } else {
+        Entry entry = a[i++];
+        entry.second.append_all(b[j++].second);
+        entry.second.shrink();
+        out.entries.push_back(std::move(entry));
+      }
+    }
+    while (i < a.size()) out.entries.push_back(a[i++]);
+    while (j < b.size()) out.entries.push_back(b[j++]);
+    return out;
+  }
+
+  /// First entry whose key is >= `key`.
+  std::vector<Entry>::const_iterator lower_bound(const Key& key) const {
+    return std::lower_bound(entries.begin(), entries.end(), key,
+                            [](const Entry& e, const Key& k) { return e.first < k; });
+  }
+
+  const PostingList* find(const Key& key) const {
+    const auto it = lower_bound(key);
+    if (it == entries.end() || key < it->first) return nullptr;
+    return &it->second;
+  }
+
+  template <typename F>
+  void for_each(F f) const {
+    for (const Entry& entry : entries) f(entry.second);
+  }
+};
+
+class HashIndex final : public GenerationIndex<HashPostings> {
+ public:
+  using GenerationIndex::GenerationIndex;
+
+  std::unique_ptr<Index> make_empty() const override {
+    return std::make_unique<HashIndex>(name(), key_columns());
+  }
+};
+
+class OrderedIndex final : public GenerationIndex<SortedPostings> {
+ public:
+  using GenerationIndex::GenerationIndex;
 
   std::unique_ptr<Index> make_empty() const override {
     return std::make_unique<OrderedIndex>(name(), key_columns());
@@ -390,16 +486,15 @@ class OrderedIndex final : public Index {
   /// key-ordered (matches produced by multiple generations are merged).
   void range_into_at(const Key& lo, const Key& hi, std::size_t limit,
                      std::vector<RowId>& out) const {
-    const GenList* list = published_.load(std::memory_order_acquire);
+    const GenList* list = published();
     std::map<Key, std::vector<RowId>> merged;
     std::size_t covered = 0;
     if (list != nullptr) {
       covered = list->end;
       for (const Gen* gen : list->gens) {  // oldest first: ids stay ascending
         if (gen->begin >= limit) break;
-        auto it = std::lower_bound(gen->entries.begin(), gen->entries.end(), lo,
-                                   [](const Entry& e, const Key& k) { return e.first < k; });
-        for (; it != gen->entries.end() && !(hi < it->first); ++it) {
+        for (auto it = gen->map.lower_bound(lo);
+             it != gen->map.entries.end() && !(hi < it->first); ++it) {
           auto& postings = merged[it->first];
           if (gen->end <= limit) {
             it->second.append_to(postings);
@@ -420,153 +515,6 @@ class OrderedIndex final : public Index {
       out.insert(out.end(), ids.begin(), ids.end());
     }
   }
-
-  void lookup_into_at(const Key& key, std::size_t limit,
-                      std::vector<RowId>& out) const override {
-    const GenList* list = published_.load(std::memory_order_acquire);
-    std::size_t covered = 0;
-    if (list != nullptr) {
-      covered = list->end;
-      for (const Gen* gen : list->gens) {
-        if (gen->begin >= limit) break;
-        const PostingList* postings = gen->find(key);
-        if (postings == nullptr) continue;
-        if (gen->end <= limit) {
-          postings->append_to(out);
-        } else {
-          postings->append_below(limit, out);
-        }
-      }
-    }
-    if (covered < limit) scan_tail(key, covered, limit, out);
-  }
-
-  std::size_t bucket_size_at(const Key& key, std::size_t limit) const override {
-    const GenList* list = published_.load(std::memory_order_acquire);
-    std::size_t covered = 0;
-    std::size_t n = 0;
-    if (list != nullptr) {
-      covered = list->end;
-      for (const Gen* gen : list->gens) {
-        if (gen->begin >= limit) break;
-        const PostingList* postings = gen->find(key);
-        if (postings == nullptr) continue;
-        n += gen->end <= limit ? postings->size() : postings->count_below(limit);
-      }
-    }
-    if (covered < limit) n += count_tail(key, covered, limit);
-    return n;
-  }
-
-  IndexStats stats() const noexcept override {
-    IndexStats st;
-    const GenList* list = published_.load(std::memory_order_acquire);
-    if (list == nullptr) return st;
-    for (const Gen* gen : list->gens) {
-      st.keys += gen->entries.size();
-      for (const Entry& entry : gen->entries) {
-        st.postings += entry.second.size();
-        st.postings_bytes += entry.second.heap_bytes();
-        st.postings_raw_bytes += entry.second.raw_bytes();
-      }
-    }
-    return st;
-  }
-
- protected:
-  std::size_t synced_rows() const noexcept override {
-    const GenList* list = published_.load(std::memory_order_acquire);
-    return list == nullptr ? 0 : list->end;
-  }
-
-  void rebuild_to(std::size_t target) override {
-    const GenList* current = published_.load(std::memory_order_relaxed);
-    const std::size_t from = current == nullptr ? 0 : current->end;
-    if (from >= target) return;
-
-    std::map<Key, PostingList> building;
-    for (std::size_t r = from; r < target; ++r) {
-      building[extract_key((*rows_)[r])].push_back(r);
-    }
-    auto* fresh = new Gen;
-    fresh->begin = from;
-    fresh->end = target;
-    fresh->entries.reserve(building.size());
-    for (auto& [key, ids] : building) {
-      ids.shrink();  // immutable once published; drop building slack
-      fresh->entries.emplace_back(key, std::move(ids));
-    }
-
-    auto* next = new GenList;
-    if (current != nullptr) next->gens = current->gens;
-    next->gens.push_back(fresh);
-    next->end = target;
-
-    while (next->gens.size() >= 2) {
-      const Gen* older = next->gens[next->gens.size() - 2];
-      const Gen* newer = next->gens.back();
-      if (older->row_span() > 2 * newer->row_span()) break;
-      auto* merged = new Gen;
-      merged->begin = older->begin;
-      merged->end = newer->end;
-      merged->entries = merge_entries(older->entries, newer->entries);
-      dispose(older);
-      dispose(newer);
-      next->gens.pop_back();
-      next->gens.back() = merged;
-    }
-
-    published_.store(next, std::memory_order_release);
-    dispose(current);
-  }
-
- private:
-  using Entry = std::pair<Key, PostingList>;
-
-  struct Gen {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::vector<Entry> entries;  // sorted by key
-    std::size_t row_span() const noexcept { return end - begin; }
-
-    const PostingList* find(const Key& key) const {
-      const auto it =
-          std::lower_bound(entries.begin(), entries.end(), key,
-                           [](const Entry& e, const Key& k) { return e.first < k; });
-      if (it == entries.end() || it->first < key || key < it->first) return nullptr;
-      return &it->second;
-    }
-  };
-  struct GenList {
-    std::vector<const Gen*> gens;
-    std::size_t end = 0;
-  };
-
-  /// Key-merge of two sorted entry lists; `a`'s ids precede `b`'s under a
-  /// shared key (a covers older rows, so ids stay ascending).
-  static std::vector<Entry> merge_entries(const std::vector<Entry>& a,
-                                          const std::vector<Entry>& b) {
-    std::vector<Entry> out;
-    out.reserve(a.size() + b.size());
-    std::size_t i = 0, j = 0;
-    while (i < a.size() && j < b.size()) {
-      if (a[i].first < b[j].first) {
-        out.push_back(a[i++]);
-      } else if (b[j].first < a[i].first) {
-        out.push_back(b[j++]);
-      } else {
-        Entry entry = a[i++];
-        entry.second.append_all(b[j++].second);
-        entry.second.shrink();
-        out.push_back(std::move(entry));
-      }
-    }
-    while (i < a.size()) out.push_back(a[i++]);
-    while (j < b.size()) out.push_back(b[j++]);
-    return out;
-  }
-
-  std::atomic<const GenList*> published_{nullptr};
 };
 
 }  // namespace hxrc::rel

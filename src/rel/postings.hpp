@@ -28,13 +28,10 @@
 // Typical cost: dense postings (attribute-definition buckets, where gaps
 // hover around the table's rows-per-document) take 1-2 bytes per id
 // against 8 for a raw RowId — the compression ratio surfaced in
-// BENCH_scale.json. `set_compression(false)` (HXRC_SCALE_BASELINE) keeps
-// lists as raw RowId vectors so the pre/post comparison runs the same
-// binary.
+// BENCH_scale.json. This is the only physical form; raw_bytes() reports
+// what a plain RowId vector would cost, for the ratio's denominator.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -47,17 +44,6 @@ class PostingList {
  public:
   static constexpr std::size_t kBlockSize = 128;
 
-  /// Process-wide build-time switch (read once per list at first append).
-  /// Published lists built under either setting stay readable; the flag
-  /// only controls the physical form of lists built after the change. Used
-  /// by bench_scale's uncompressed-postings baseline.
-  static void set_compression(bool on) noexcept {
-    compress_new_lists().store(on, std::memory_order_relaxed);
-  }
-  static bool compression() noexcept {
-    return compress_new_lists().load(std::memory_order_relaxed);
-  }
-
   PostingList() = default;
 
   std::size_t size() const noexcept { return count_; }
@@ -66,13 +52,6 @@ class PostingList {
   /// Appends `id`; ids must be strictly ascending. Build-side only (runs
   /// under the index's sync mutex); published lists are never appended to.
   void push_back(RowId id) {
-    if (count_ == 0) compressed_ = compression();
-    if (!compressed_) {
-      raw_.push_back(id);
-      ++count_;
-      last_ = static_cast<std::uint64_t>(id);
-      return;
-    }
     if (count_ == 0) {
       first_ = static_cast<std::uint64_t>(id);
       put_varint(first_);  // block 0's first id, absolute, in-stream
@@ -96,20 +75,6 @@ class PostingList {
     if (other.count_ == 0) return;
     if (count_ == 0) {
       *this = other;
-      return;
-    }
-    if (compressed_ != other.compressed_) {
-      // Mixed physical forms (the compression flag flipped mid-run — test
-      // scenarios only): fall back to re-encoding id by id.
-      std::vector<RowId> ids;
-      other.append_to(ids);
-      for (const RowId id : ids) push_back(id);
-      return;
-    }
-    if (!compressed_) {
-      raw_.insert(raw_.end(), other.raw_.begin(), other.raw_.end());
-      count_ += other.count_;
-      last_ = other.last_;
       return;
     }
     // Drop other's leading absolute varint; its value is other.first_.
@@ -155,10 +120,6 @@ class PostingList {
   /// Appends every id to `out` (does not clear it).
   void append_to(std::vector<RowId>& out) const {
     if (count_ == 0) return;
-    if (!compressed_) {
-      out.insert(out.end(), raw_.begin(), raw_.end());
-      return;
-    }
     decode_run(bytes_.data(), block0_count(), true, out);
     for (const SkipEntry& entry : skip_) {
       decode_skip_block(entry, entry.count, out);
@@ -170,11 +131,6 @@ class PostingList {
   /// straddling block pays a per-id check.
   void append_below(std::size_t limit, std::vector<RowId>& out) const {
     if (count_ == 0) return;
-    if (!compressed_) {
-      const auto stop = std::lower_bound(raw_.begin(), raw_.end(), limit);
-      out.insert(out.end(), raw_.begin(), stop);
-      return;
-    }
     if (first_ >= static_cast<std::uint64_t>(limit)) return;
     // Skip blocks whose first id is below the watermark; the LAST such
     // block (or block 0 when there is none) straddles, everything before
@@ -195,10 +151,6 @@ class PostingList {
   /// plus one partial block decode.
   std::size_t count_below(std::size_t limit) const noexcept {
     if (count_ == 0) return 0;
-    if (!compressed_) {
-      return static_cast<std::size_t>(
-          std::lower_bound(raw_.begin(), raw_.end(), limit) - raw_.begin());
-    }
     if (first_ >= static_cast<std::uint64_t>(limit)) return 0;
     const std::size_t s = blocks_starting_below(limit);
     if (s == 0) {
@@ -217,13 +169,11 @@ class PostingList {
   void shrink() noexcept {
     bytes_.shrink_to_fit();
     skip_.shrink_to_fit();
-    raw_.shrink_to_fit();
   }
 
   /// Heap bytes held by this list's physical representation.
   std::size_t heap_bytes() const noexcept {
-    return raw_.capacity() * sizeof(RowId) + bytes_.capacity() +
-           skip_.capacity() * sizeof(SkipEntry);
+    return bytes_.capacity() + skip_.capacity() * sizeof(SkipEntry);
   }
 
   /// Bytes an uncompressed RowId vector of the same ids would take — the
@@ -381,18 +331,11 @@ class PostingList {
     return n;
   }
 
-  static std::atomic<bool>& compress_new_lists() noexcept {
-    static std::atomic<bool> on{true};
-    return on;
-  }
-
-  std::vector<std::uint8_t> bytes_;  // varint stream (compressed form)
+  std::vector<std::uint8_t> bytes_;  // varint stream
   std::vector<SkipEntry> skip_;      // one entry per block AFTER the first
-  std::vector<RowId> raw_;           // raw form (compression disabled)
   std::uint64_t first_ = 0;          // block 0's first id (also in-stream)
   std::uint64_t last_ = 0;
   std::size_t count_ = 0;
-  bool compressed_ = true;
 };
 
 }  // namespace hxrc::rel

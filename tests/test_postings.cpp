@@ -18,10 +18,7 @@ std::vector<RowId> decode(const PostingList& pl) {
   return out;
 }
 
-class PostingsTest : public ::testing::Test {
- protected:
-  void TearDown() override { PostingList::set_compression(true); }
-};
+class PostingsTest : public ::testing::Test {};
 
 TEST_F(PostingsTest, RoundTripSmall) {
   PostingList pl;
@@ -122,19 +119,6 @@ TEST_F(PostingsTest, CompressionShrinksDensePostings) {
   EXPECT_LT(pl.heap_bytes(), pl.raw_bytes() / 2);
 }
 
-TEST_F(PostingsTest, RawModeRoundTrip) {
-  PostingList::set_compression(false);
-  PostingList pl;
-  const std::vector<RowId> ids = {3, 9, 27, 81};
-  for (const RowId v : ids) pl.push_back(v);
-  EXPECT_EQ(decode(pl), ids);
-  EXPECT_EQ(pl.count_below(28), 3u);
-  std::vector<RowId> got;
-  pl.append_below(28, got);
-  EXPECT_EQ(got, (std::vector<RowId>{3, 9, 27}));
-  EXPECT_GE(pl.heap_bytes(), pl.raw_bytes());
-}
-
 TEST_F(PostingsTest, ShortListsCarryNoSkipTableOverhead) {
   // Block 0 has no skip entry (its first id lives in the byte stream), so a
   // singleton posting — the common case in value-keyed indexes — must cost
@@ -170,20 +154,6 @@ TEST_F(PostingsTest, TieredMergesMatchDirectBuildByteForByte) {
   for (const RowId limit : {0u, 1u, 770u, 771u, 120 * 770u, 299 * 770u + 1}) {
     EXPECT_EQ(merged.count_below(limit), direct.count_below(limit)) << limit;
   }
-}
-
-TEST_F(PostingsTest, MixedModeAppendAllReencodes) {
-  PostingList raw_list;
-  PostingList::set_compression(false);
-  for (RowId v = 100; v < 200; ++v) raw_list.push_back(v);
-  PostingList::set_compression(true);
-  PostingList packed;
-  for (RowId v = 0; v < 100; ++v) packed.push_back(v);
-  packed.append_all(raw_list);
-  EXPECT_EQ(packed.size(), 200u);
-  std::vector<RowId> expect;
-  for (RowId v = 0; v < 200; ++v) expect.push_back(v);
-  EXPECT_EQ(decode(packed), expect);
 }
 
 }  // namespace

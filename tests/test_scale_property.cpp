@@ -18,7 +18,6 @@
 
 #include "baselines/dom_matcher.hpp"
 #include "core/catalog.hpp"
-#include "rel/postings.hpp"
 #include "storage/clob_pager.hpp"
 #include "workload/lead_schema.hpp"
 #include "workload/scale.hpp"
@@ -50,7 +49,6 @@ std::string temp_page_file(const char* tag) {
 TEST(ScaleProperty, DomOracleAgreesAtTier) {
   const workload::ScaleTier* tier = env_tier();
   if (tier == nullptr) GTEST_SKIP() << "set HXRC_SCALE_TIER to run";
-  rel::PostingList::set_compression(true);
 
   xml::Schema schema = workload::lead_schema();
   core::MetadataCatalog catalog(schema, workload::lead_annotations(),
@@ -102,7 +100,6 @@ TEST(ScaleProperty, DomOracleAgreesAtTier) {
 TEST(ScaleProperty, PinnedSnapshotSurvivesChurnAtTier) {
   const workload::ScaleTier* tier = env_tier();
   if (tier == nullptr) GTEST_SKIP() << "set HXRC_SCALE_TIER to run";
-  rel::PostingList::set_compression(true);
 
   xml::Schema schema = workload::lead_schema();
   core::MetadataCatalog catalog(schema, workload::lead_annotations(),
